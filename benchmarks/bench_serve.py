@@ -101,7 +101,7 @@ def _saturation(model):
         attribution = {}
         pool = WorkerPool(model, replicas=n, balancer="round_robin",
                           policy=MaxPendingRequests(POOL_FLUSH),
-                          pipeline="double", device=V100)
+                          device=V100)
         for rep in pool.replicas:
             rep.server.add_observer(
                 lambda req, exc, name=rep.name:
@@ -135,84 +135,6 @@ def _saturation(model):
             "flushes": snap["flushes"],
         }
     return out
-
-
-def _flush_phase_times(model):
-    """Measured per-flush (form, execute) second pairs from one traced
-    sequential pass over the stream (form = coalesce span; execute =
-    everything after it in the flush span)."""
-    tracer = Tracer()
-    srv = model.server(policy=MaxPendingRequests(POOL_FLUSH),
-                       tracer=tracer)
-    srv.serve_forever(_requests(1))
-    children = {}
-    for s in tracer.finished_spans():
-        children.setdefault(s.parent_id, []).append(s)
-    phases = []
-    for s in tracer.finished_spans():
-        if s.name != "flush":
-            continue
-        form = exec_s = 0.0
-        for c in children.get(s.span_id, []):
-            d = (c.end_t or c.start_t) - c.start_t
-            if c.name == "coalesce":
-                form += d
-            else:
-                exec_s += d
-        phases.append((form, exec_s))
-    return phases
-
-
-def _pipeline_p99_model(model):
-    """Modeled p99 at fixed offered load: sequential vs pipelined flush.
-
-    A deterministic replay over the measured per-flush (form, execute)
-    times: requests arrive in order at a fixed rate, flushes close at
-    ``POOL_FLUSH`` requests.  The sequential server serializes
-    form+execute per flush on one thread; continuous batching forms
-    flush k+1 while k executes (depth-1 handoff), so the steady-state
-    flush interval drops from ``form+exec`` to ``max(form, exec)``.
-    The offered load is 95% of *pipelined* capacity — sustainable with
-    the overlap, over sequential capacity without it — which is exactly
-    the load band continuous batching exists for.  Modeled, not
-    measured: on a 1-core host the two threads cannot actually overlap,
-    but the model uses only measured single-thread phase times.
-    """
-    phases = _flush_phase_times(model)
-    n = NUM_REQUESTS
-    pipelined_capacity = n / sum(max(f, e) for f, e in phases)
-    rate = pipelined_capacity * 0.95
-    arrivals = [i / rate for i in range(n)]
-
-    def replay(pipelined):
-        lat = []
-        form_free = 0.0                          # former availability
-        exec_free = 0.0                          # executor availability
-        for j, (form, exec_s) in enumerate(phases):
-            members = range(j * POOL_FLUSH,
-                            min((j + 1) * POOL_FLUSH, n))
-            ready = arrivals[members[-1]]
-            if pipelined:
-                form_done = max(ready, form_free) + form
-                form_free = form_done
-                done = max(form_done, exec_free) + exec_s
-                exec_free = done
-            else:
-                done = max(ready, exec_free) + form + exec_s
-                exec_free = done
-            lat += [done - arrivals[i] for i in members]
-        return float(np.percentile(np.asarray(lat), 99)) * 1e3
-
-    seq_p99 = replay(pipelined=False)
-    pipe_p99 = replay(pipelined=True)
-    return {
-        "offered_rate_rps": rate,
-        "modeled": True,
-        "flushes_measured": len(phases),
-        "sequential_p99_ms": seq_p99,
-        "pipelined_p99_ms": pipe_p99,
-        "p99_improvement": 1.0 - pipe_p99 / seq_p99,
-    }
 
 
 def _baseline_rows():
@@ -341,7 +263,6 @@ def _run():
         rows.append(row)
         results[f"{MODEL}_rs{rs}"] = entry
     results["saturation"] = _saturation(model)
-    results["continuous_batching"] = _pipeline_p99_model(model)
     results["baselines"] = _baseline_rows()
     return rows, results
 
@@ -370,18 +291,13 @@ def test_serve_throughput(benchmark):
                  round(s["wall_latency_p99_ms"], 2),
                  round(s["occupancy_requests"], 1)]
                 for n, s in sorted(sat.items())]
-    cb = results["continuous_batching"]
     sat_table = format_table(
         ["Replicas", "sim rps", "sim x", "wall rps", "wall p99 (ms)",
          "occupancy"],
         sat_rows,
         title=f"Pool saturation, {NUM_REQUESTS}-request stream, flush "
-              f"{POOL_FLUSH}, pipeline=double (sim = V100 cost-model "
-              f"makespan; wall = host, GIL-bound).  Continuous batching "
-              f"modeled p99 at 95% of pipelined capacity: sequential "
-              f"{cb['sequential_p99_ms']:.2f} ms -> pipelined "
-              f"{cb['pipelined_p99_ms']:.2f} ms "
-              f"({cb['p99_improvement']:.0%} better)")
+              f"{POOL_FLUSH} (sim = V100 cost-model makespan; wall = "
+              f"host, GIL-bound)")
     save_result("serve_pool_saturation", sat_table)
 
     record_bench_json(JSON_PATH, {
@@ -412,6 +328,3 @@ def test_serve_throughput(benchmark):
     assert (sat[4]["sim_throughput_rps"]
             >= 2.0 * sat[1]["sim_throughput_rps"]), sat
     assert sat[2]["sim_throughput_rps"] > sat[1]["sim_throughput_rps"], sat
-    # Continuous batching must improve modeled p99 at fixed offered load.
-    cb = results["continuous_batching"]
-    assert cb["pipelined_p99_ms"] < cb["sequential_p99_ms"], cb

@@ -1,19 +1,16 @@
-"""Replica pools, the asyncio bridge, and continuous batching.
+"""Replica pools and the asyncio bridge.
 
-Three layers of the scale-out serving PR under one suite:
+Two layers of scale-out serving under one suite:
 
 * :class:`~repro.serve.pool.WorkerPool` — private-arena replicas behind
   pluggable load balancing, per-replica breakers, failover submit,
   crash + replacement, aggregated metrics that preserve the pinned
   single-server snapshot keys;
 * :class:`~repro.serve.aio.AsyncRequestHandle` — lifecycle parity
-  (deadline, cancel, retry) between ``await`` and the thread API;
-* ``pipeline="double"`` — the former/executor thread pair with
-  double-buffered arenas, prepared-batch fallbacks, and the invariant
-  that pipelining never changes outputs.
+  (deadline, cancel, retry) between ``await`` and the thread API.
 
 The cross-cutting invariant everywhere: whatever the replica count,
-balancer, pipeline mode or fault schedule, every completed request's
+balancer, memo mode or fault schedule, every completed request's
 outputs are bitwise identical to a single-replica synchronous server.
 """
 
@@ -25,15 +22,15 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.data import synthetic_treebank
+from repro.data import synthetic_treebank, zipf_tree_stream
 from repro.errors import (CircuitOpenError, DeadlineExceededError,
                           QueueFullError, RequestCancelledError,
                           RequestTimeoutError, ServingError)
 from repro.obs import Tracer
 from repro.serve import (AsyncRequestHandle, Deadline, FaultInjector,
                          LeastLoaded, MaxPendingRequests, ModelServer,
-                         PreparedFlush, RoundRobin, Router, Scheduler,
-                         SloAware, WorkerPool, coalesce)
+                         RoundRobin, Router, Scheduler, SloAware,
+                         WorkerPool)
 from repro.serve.request import Request, RequestHandle
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
@@ -209,6 +206,27 @@ def test_pool_replicas_have_private_arenas(model):
     pool.stop()
 
 
+def test_memo_pool_outputs_bitwise_match_run(model):
+    """A threaded memoizing pool: each replica splices from its own cache
+    over its own private-arena view, and every result equals ``run()``."""
+    stream = zipf_tree_stream(48, vocab_size=VOCAB, seed=CHAOS_SEED)
+    expect = [_solo_rows(model, [r]) for r in stream]
+    pool = WorkerPool(model, replicas=2, memo="on",
+                      policy=MaxPendingRequests(4) | Deadline(1.0))
+    splicers = {id(r.server.memo) for r in pool.replicas}
+    assert len(splicers) == 2
+    for rep in pool.replicas:
+        assert rep.server.memo.model is rep.server.model
+    with pool:
+        handles = [pool.submit(r) for r in stream]
+        got = [h.result(30).root_output(OUT) for h in handles]
+    for e, g in zip(expect, got):
+        assert np.array_equal(e, g)
+    rates = [r.server.metrics_snapshot()["memo"]["hit_rate"]
+             for r in pool.replicas]
+    assert max(rates) > 0, rates
+
+
 def test_pool_failover_skips_open_breaker(model):
     pool = WorkerPool(model, replicas=2, balancer="round_robin",
                       policy=MaxPendingRequests(64))
@@ -376,81 +394,11 @@ def test_router_add_pool_dispatch_and_lifecycle(model):
 
 
 # ---------------------------------------------------------------------------
-# continuous batching (pipeline="double")
-
-
-def test_pipeline_refuses_memo(model):
-    with pytest.raises(ServingError, match="memo"):
-        ModelServer(model, pipeline="double", memo="on")
-    with pytest.raises(ServingError, match="pipeline"):
-        ModelServer(model, pipeline="triple")
-
-
-def test_pipeline_outputs_bitwise_match_and_use_prepared(model):
-    rng = np.random.default_rng(CHAOS_SEED)
-    reqs = _requests(16, rng)
-    expect = [_solo_rows(model, r) for r in reqs]
-    srv = ModelServer(model, pipeline="double",
-                      policy=MaxPendingRequests(4) | Deadline(1.0))
-    with srv:
-        handles = [srv.submit(r) for r in reqs]
-        got = [h.result(30).root_output(OUT) for h in handles]
-    for e, g in zip(expect, got):
-        assert np.array_equal(e, g)
-    pstats = srv.metrics_snapshot()["pipeline"]
-    assert pstats["prepared"] >= 1
-    assert pstats["prepared_used"] >= 1
-    assert pstats["fallbacks"] == 0
-
-
-def test_pipeline_rotates_both_arenas(model):
-    from repro.serve.router import _private_arena_view
-
-    view = _private_arena_view(model)
-    srv = ModelServer(view, pipeline="double",
-                      policy=MaxPendingRequests(1))
-    rng = np.random.default_rng(CHAOS_SEED)
-    with srv:
-        handles = [srv.submit(r) for r in _requests(8, rng)]
-        for h in handles:
-            h.result(30)
-    # both arenas saw traffic: the model's own and the spare
-    own = view.arena.stats.hits + view.arena.stats.misses
-    spare = (srv._spare_arena.stats.hits
-             + srv._spare_arena.stats.misses)
-    assert own > 0 and spare > 0
-
-
-def test_pipeline_fallback_on_stale_prepared_batch(model):
-    """A prepared batch that no longer matches the claimed live set is
-    discarded — cancellation keeps exact thread-API semantics."""
-    from repro.serve.router import _private_arena_view
-
-    view = _private_arena_view(model)
-    srv = ModelServer(view, pipeline="double")
-    rng = np.random.default_rng(CHAOS_SEED)
-    reqs = _requests(3, rng)
-    expect = [_solo_rows(model, r) for r in reqs]
-    handles = [srv.submit(r) for r in reqs]
-    taken = srv.scheduler.take()
-    prepared = srv._prepare(taken)
-    assert prepared.batch is not None and len(
-        prepared.batch.requests) == 3
-    # a cancel lands between forming and claiming
-    assert handles[1].cancel()
-    srv._run_batch(taken, prepared=prepared)
-    assert srv._pipeline_fallbacks == 1
-    assert np.array_equal(handles[0].result(0).root_output(OUT),
-                          expect[0])
-    with pytest.raises(RequestCancelledError):
-        handles[1].result(0)
-    assert np.array_equal(handles[2].result(0).root_output(OUT),
-                          expect[2])
+# threaded lifecycle: stop drains, stop is restartable, close is final
 
 
 def test_pipeline_stop_drains_everything(model):
-    srv = ModelServer(model, pipeline="double",
-                      policy=MaxPendingRequests(4))
+    srv = ModelServer(model, policy=MaxPendingRequests(4))
     srv.start()
     rng = np.random.default_rng(CHAOS_SEED)
     handles = [srv.submit(r) for r in _requests(21, rng)]
